@@ -11,7 +11,9 @@
 //! The baseline file is a flat JSON array of
 //! `{"file": …, "algo": …, "field": …, "min": …}` entries: `file` names
 //! which measured file to look in (by basename), `algo`/`field` select
-//! the entry and its metric, and `min` is the committed expectation. The
+//! the entry and its metric, and `min` is the committed expectation. An
+//! optional `"kind"` narrows the match when one algorithm has several
+//! measured rows; without it the first row for `algo` is gated. The
 //! gate passes while `measured ≥ min · (1 − tolerance)` for every entry —
 //! speedup ratios are dimensionless, so a generous tolerance absorbs
 //! runner-hardware noise while still catching a real regression (a
@@ -92,12 +94,18 @@ fn gate(
         let field = str_field(b, "field", &ctx)?;
         let min = num_field(b, "min", &ctx)?;
         let floor = min * (1.0 - tolerance);
+        let kind = b.get("kind").map(|_| str_field(b, "kind", &ctx)).transpose()?;
 
+        let is = |o: &FlatObject, key: &str, want: &str| {
+            o.get(key).and_then(|v| v.as_str()) == Some(want)
+        };
         let entry = measured
             .iter()
             .filter(|(name, _)| name == file)
             .flat_map(|(_, objs)| objs)
-            .find(|o| o.get("algo").and_then(|v| v.as_str()) == Some(algo));
+            .find(|o| is(o, "algo", algo) && kind.is_none_or(|k| is(o, "kind", k)));
+        // Report lines name the row as `algo[kind]` when a kind is gated.
+        let algo = kind.map_or(algo.to_string(), |k| format!("{algo}[{k}]"));
         let line = match entry {
             None => {
                 all_ok = false;
@@ -219,6 +227,30 @@ mod tests {
         let (ok, lines) = gate(&baselines, &measured, 0.30).unwrap();
         assert!(!ok);
         assert!(lines[0].contains("no numeric field"), "{lines:?}");
+    }
+
+    #[test]
+    fn kind_selects_among_rows_of_one_algo() {
+        let measured = parse_array(
+            r#"[{"algo":"d","kind":"ingest","speedup":1.0},{"algo":"d","kind":"decode","ratio":0.5}]"#,
+        )
+        .unwrap();
+        let measured = vec![("BENCH_x.json".to_string(), measured)];
+        let baselines = parse_array(
+            r#"[{"file":"BENCH_x.json","algo":"d","field":"speedup","min":1.0},
+                {"file":"BENCH_x.json","algo":"d","kind":"decode","field":"ratio","min":0.2}]"#,
+        )
+        .unwrap();
+        let (ok, lines) = gate(&baselines, &measured, 0.30).unwrap();
+        assert!(ok, "no kind gates the first row; kind=decode gates the second: {lines:?}");
+        assert!(lines[1].starts_with("ok   BENCH_x.json d[decode] ratio = 0.500"), "{lines:?}");
+
+        let ghost = parse_array(
+            r#"[{"file":"BENCH_x.json","algo":"d","kind":"query","field":"ratio","min":0.2}]"#,
+        )
+        .unwrap();
+        let (ok, lines) = gate(&ghost, &measured, 0.30).unwrap();
+        assert!(!ok && lines[0].contains("d[query]: no measured entry"), "{lines:?}");
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! Also emits the perf trajectory, so successive PRs accumulate
 //! machine-readable curves:
 //!
-//! * `BENCH_engine.json` — batched vs per-edge **ingestion**;
+//! * `BENCH_engine.json` — batched vs per-edge **ingestion**, plus the
+//!   turnstile sketch's ingest-vs-decode row (`kind = "decode"`);
 //! * `BENCH_query.json` — incremental vs from-scratch **queries**, both
 //!   on checkpointed engine runs and end-to-end adversary games.
 //!
@@ -26,9 +27,10 @@ use sc_bench::{fmt_bits, Table};
 use sc_engine::{ColorerSpec, RunOutcome, Runner, Scenario, SourceSpec};
 use sc_graph::generators;
 use sc_stream::{EngineConfig, QuerySchedule, StreamEngine, StreamOrder};
+use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::time::Instant;
-use streamcolor::{list_coloring, DetConfig, ListConfig};
+use streamcolor::{list_coloring, DetConfig, ListConfig, SparseRecovery};
 
 /// Instance sizes for the full run vs the CI smoke run.
 struct Profile {
@@ -249,12 +251,73 @@ fn emit_engine_bench(profile: &Profile) {
         batched_ms,
         per_edge_ms / batched_ms.max(1e-9),
     ));
+    entries.push(sketch_decode_entry(n, dyn_delta, &tokens, reps));
 
     write_bench_file(
         &profile.bench_path("engine"),
         &entries,
         "batched vs per-edge ingestion timings (insert-only + turnstile churn)",
     );
+}
+
+/// Times the sparse-recovery sketch's two halves on the churn tokens
+/// above: ingest (every token into a fresh sketch, the `dynamic-sr`
+/// default budget and edge ids) and one `decode` of the result. The
+/// gated `ratio = ingest_ms / decode_ms` is dimensionless and falls
+/// towards zero if decode ever goes back to costing `support × cells`.
+fn sketch_decode_entry(
+    n: usize,
+    delta: usize,
+    tokens: &[sc_stream::SignedEdge],
+    reps: usize,
+) -> String {
+    let sparsity = (n * delta).div_ceil(2).max(1);
+    let universe = (n as u64 * n as u64).max(1);
+    let id = |e: sc_graph::Edge| e.u() as u64 * n as u64 + e.v() as u64;
+    let ingest = || {
+        let mut sketch = SparseRecovery::new(universe, sparsity, 5);
+        for t in tokens {
+            sketch.update(id(t.edge), t.sign.unit());
+        }
+        sketch
+    };
+    let mut live: BTreeMap<u64, i64> = BTreeMap::new();
+    for t in tokens {
+        *live.entry(id(t.edge)).or_insert(0) += t.sign.unit();
+    }
+    live.retain(|_, c| *c != 0);
+    let sketch = ingest();
+    let support = sketch.decode().expect("churn support fits the default budget");
+    assert!(support.iter().copied().eq(live), "dynamic_sr: decode is not the live multiset");
+
+    let median = |f: &dyn Fn()| -> f64 {
+        let mut times: Vec<f64> = (0..reps)
+            .map(|_| {
+                let start = Instant::now();
+                f();
+                start.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        times.sort_by(f64::total_cmp);
+        times[times.len() / 2]
+    };
+    let ingest_ms = median(&|| {
+        std::hint::black_box(ingest());
+    });
+    let decode_ms = median(&|| {
+        std::hint::black_box(sketch.decode().ok());
+    });
+    format!(
+        "  {{\"algo\":\"dynamic_sr\",\"kind\":\"decode\",\"n\":{},\"delta\":{},\"tokens\":{},\"support\":{},\"sparsity\":{},\"ingest_ms\":{:.3},\"decode_ms\":{:.3},\"ratio\":{:.3}}}",
+        n,
+        delta,
+        tokens.len(),
+        support.len(),
+        sparsity,
+        ingest_ms,
+        decode_ms,
+        ingest_ms / decode_ms.max(1e-9),
+    )
 }
 
 /// Times the hashing substrate's batched tier against the scalar
@@ -417,7 +480,11 @@ fn emit_query_bench(profile: &Profile) {
         let (_, rs) = run_once(base.clone().scratch_queries());
         assert_eq!(ri.final_coloring, rs.final_coloring, "dynamic_sr: query paths diverge");
         for (a, b) in ri.checkpoints.iter().zip(&rs.checkpoints) {
-            assert_eq!(a.coloring, b.coloring, "dynamic_sr: checkpoint diverges at {}", a.prefix_len);
+            assert_eq!(
+                a.coloring, b.coloring,
+                "dynamic_sr: checkpoint diverges at {}",
+                a.prefix_len
+            );
         }
         let median = |config: EngineConfig| -> f64 {
             let mut times: Vec<f64> = (0..reps).map(|_| run_once(config.clone()).0).collect();

@@ -178,9 +178,13 @@ mod tests {
     use super::*;
 
     fn run_script_file(script: &str, extra: &str) -> Result<String, CliError> {
+        // One file per call: tests run on parallel threads, and a shared
+        // path lets one test truncate another's script mid-read.
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir().join("streamcolor-serve-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("script-{}.commands", std::process::id()));
+        let path = dir.join(format!("script-{}-{call}.commands", std::process::id()));
         std::fs::write(&path, script).unwrap();
         let toks: Vec<String> = format!("serve --script {} {extra}", path.display())
             .split_whitespace()
@@ -188,7 +192,9 @@ mod tests {
             .collect();
         let args = Args::parse(&toks, &[]).unwrap();
         let mut out = Vec::new();
-        run(&args, &mut out)?;
+        let result = run(&args, &mut out);
+        let _ = std::fs::remove_file(&path);
+        result?;
         Ok(String::from_utf8(out).unwrap())
     }
 

@@ -17,6 +17,14 @@
 //!   and the query panics with that message rather than answer wrongly.
 //!   Scenario sizing (and the engine's [`DynamicSupport`] referee,
 //!   observable via session stats) keeps honest runs within budget.
+//! * **Query cost.** Every from-scratch query and every patch decodes
+//!   the whole sketch: a worklist peel, `O(ROWS · (2s + support))`, so
+//!   linear in the cell array rather than `support × cells`. The
+//!   first-fit coloring (or repair) on top of the decoded edges is the
+//!   rest of the query.
+//! * **The budget is bounded.** [`DynamicColorer::try_new`] allocates
+//!   the `12s` cells fallibly, so an oversized `s` is an error naming
+//!   `sparsity`, never an allocation abort of the host process.
 //! * **Determinism.** All hashing derives from the constructor seed via
 //!   `sc-hash`, so equal token streams produce byte-identical sketches,
 //!   colorings, and state blobs — the property the four-path
@@ -65,14 +73,26 @@ pub struct DynamicColorer {
 impl DynamicColorer {
     /// A dynamic colorer on `n` vertices with live-support budget
     /// `sparsity`, all hashing derived from `seed`.
+    ///
+    /// # Panics
+    /// If the sketch cannot be allocated (see [`Self::try_new`]).
     pub fn new(n: usize, sparsity: usize, seed: u64) -> Self {
+        Self::try_new(n, sparsity, seed).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::new`], allocating the sketch fallibly.
+    ///
+    /// # Errors
+    /// Names `sparsity` when the sketch's cells do not fit in memory.
+    pub fn try_new(n: usize, sparsity: usize, seed: u64) -> Result<Self, String> {
         let universe = (n as u64) * (n as u64);
-        let sketch = SparseRecovery::new(universe.max(1), sparsity, seed);
+        let sketch = SparseRecovery::try_new(universe.max(1), sparsity, seed)
+            .map_err(|e| format!("dynamic-sr: {e}"))?;
         let mut meter = SpaceMeter::new();
         // The colorer's entire storage is the sketch: cells plus the
         // handful of hash keys. Charged once — updates never grow it.
         meter.charge(sketch.cell_bits() + 8 * counter_bits(u64::MAX));
-        Self { n, sketch, meter, cache: QueryCache::new(), deleted_since_install: false }
+        Ok(Self { n, sketch, meter, cache: QueryCache::new(), deleted_since_install: false })
     }
 
     /// The sparsity budget `s`.
@@ -91,10 +111,7 @@ impl DynamicColorer {
     /// Decodes the live edge list (ascending), panicking with the
     /// sketch's loud message if the support exceeds the budget.
     fn decode_live(&self) -> Vec<Edge> {
-        let support = self
-            .sketch
-            .decode()
-            .unwrap_or_else(|e| panic!("{}: {e}", self.name()));
+        let support = self.sketch.decode().unwrap_or_else(|e| panic!("{}: {e}", self.name()));
         support
             .into_iter()
             .map(|(id, count)| {
@@ -368,6 +385,8 @@ mod tests {
     fn decode_state_rejects_foreign_blobs() {
         let mut c = DynamicColorer::new(10, 2, 1);
         assert!(c.decode_state("algo=store-all;edges=").is_err());
-        assert!(c.decode_state("algo=dynamic-sr;cells=x;space_cur=1;space_peak=1;epoch=0").is_err());
+        assert!(c
+            .decode_state("algo=dynamic-sr;cells=x;space_cur=1;space_peak=1;epoch=0")
+            .is_err());
     }
 }

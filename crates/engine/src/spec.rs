@@ -89,9 +89,11 @@ impl ColorerSpec {
     /// # Errors
     /// Returns a message (never panics) when the spec cannot become a
     /// single-pass streaming colorer: multi-pass / offline specs
-    /// ([`ColorerSpec::is_streaming`] is false), and `Bcg20` without a
+    /// ([`ColorerSpec::is_streaming`] is false), `Bcg20` without a
     /// materialized graph (its palette is sized from the graph's exact
-    /// degeneracy).
+    /// degeneracy), and a `DynamicSr` budget that exceeds the edge
+    /// universe `n(n−1)/2` or whose sketch cannot be allocated (both
+    /// messages name `sparsity`).
     pub fn build(
         &self,
         n: usize,
@@ -126,8 +128,17 @@ impl ColorerSpec {
             },
             ColorerSpec::StoreAll => Box::new(StoreAllColorer::new(n)),
             ColorerSpec::DynamicSr { sparsity } => {
-                let budget = sparsity.unwrap_or_else(|| (n * delta).div_ceil(2).max(1));
-                Box::new(DynamicColorer::new(n, budget, seed))
+                // A live support never exceeds the n(n−1)/2 possible
+                // edges, so a larger budget only buys unusable cells.
+                let edges = (n as u128 * n.saturating_sub(1) as u128 / 2).max(1);
+                if let Some(s) = sparsity.filter(|&s| s as u128 > edges) {
+                    return Err(format!(
+                        "dynamic-sr: sparsity = {s} exceeds the edge universe \
+                         n(n−1)/2 = {edges} for n = {n}"
+                    ));
+                }
+                let budget = sparsity.unwrap_or_else(|| n.saturating_mul(delta).div_ceil(2).max(1));
+                Box::new(DynamicColorer::try_new(n, budget, seed)?)
             }
             ColorerSpec::Trivial => Box::new(TrivialColorer::new(n)),
             ColorerSpec::Det(_)
@@ -214,5 +225,22 @@ mod tests {
             .err()
             .expect("must not build");
         assert!(e.contains("bcg20"), "{e}");
+    }
+
+    #[test]
+    fn dynamic_sr_budgets_beyond_the_edge_universe_error_instead_of_aborting() {
+        // n = 10 has 45 possible edges: 45 builds, 46 and 10^12 do not.
+        let build = |s| ColorerSpec::DynamicSr { sparsity: Some(s) }.build(10, 2, 1, None);
+        assert!(build(45).is_ok());
+        for s in [46, 1_000_000_000_000] {
+            let e = build(s).err().expect("must not build");
+            assert!(e.contains(&format!("sparsity = {s}")) && e.contains("= 45"), "{e}");
+        }
+        // Within the universe but too large to allocate: still an error.
+        let e = ColorerSpec::DynamicSr { sparsity: Some(1 << 58) }
+            .build(1 << 31, 2, 1, None)
+            .err()
+            .expect("must not build");
+        assert!(e.contains("dynamic-sr") && e.contains("sparsity = 288230376151711744"), "{e}");
     }
 }

@@ -232,3 +232,55 @@ proptest! {
         }
     }
 }
+
+/// One `open` asking for an absurd sparse-recovery budget used to abort
+/// the whole host on allocation failure. It must instead be an error
+/// response naming `sparsity`, and a tenant sharing the host must see
+/// byte-identical responses to an undisturbed run — through the script
+/// runner `serve --script` uses, at several thread counts.
+#[test]
+fn oversized_dynamic_sr_budgets_are_errors_that_leave_other_tenants_untouched() {
+    let hostile = [
+        r#"{"cmd":"open","session":"x","n":10,"delta":2,"colorer":"dynamic-sr","seed":1,"sparsity":1000000000000}"#,
+        r#"{"cmd":"observe","session":"x"}"#,
+        r#"{"cmd":"open","session":"y","n":16777216,"delta":16777216,"colorer":"dynamic-sr"}"#,
+    ];
+    let tenant = session_script("a", &ColorerSpec::DynamicSr { sparsity: None }, 30, 4, 0xA11CE);
+    let undisturbed = Service::new().run_script(&(tenant.join("\n") + "\n"));
+
+    // Hostile lines after the open, mid-stream, and before the finish.
+    let mut script = Vec::new();
+    let mut hostile_at = Vec::new();
+    for (i, line) in tenant.iter().enumerate() {
+        if [1, tenant.len() / 2, tenant.len() - 1].contains(&i) {
+            for h in hostile {
+                hostile_at.push(script.len());
+                script.push(h.to_string());
+            }
+        }
+        script.push(line.clone());
+    }
+    let script = script.join("\n") + "\n";
+    for threads in [1usize, 4] {
+        let out = Service::with_threads(threads).run_script(&script);
+        let lines: Vec<&str> = out.lines().collect();
+        let mut kept = String::new();
+        for (i, line) in lines.iter().enumerate() {
+            let Some(k) = hostile_at.iter().position(|&h| h == i) else {
+                kept.push_str(line);
+                kept.push('\n');
+                continue;
+            };
+            assert!(line.contains(r#""ok":false"#), "hostile line {i} must be refused: {line}");
+            match k % 3 {
+                0 => assert!(
+                    line.contains("sparsity = 1000000000000") && line.contains("n(n−1)/2 = 45"),
+                    "{line}"
+                ),
+                1 => assert!(line.contains("unknown session"), "{line}"),
+                _ => assert!(line.contains("sparsity = 140737488355328"), "{line}"),
+            }
+        }
+        assert_eq!(kept, undisturbed, "tenant a diverged beside hostile opens ({threads} threads)");
+    }
+}
